@@ -79,7 +79,6 @@ from .spectral import (
     char_poly_hamiltonian,
     cover_numerics,
     dims_and_degrees,
-    even_part,
     factorize_discriminant,
     family_from_json,
     family_to_json,

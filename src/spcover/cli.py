@@ -322,7 +322,7 @@ def _run_monodromy(ctx: _Ctx) -> list[VerificationReport]:
             )
         )
         if n <= 4:
-            size = monodromy._closure_size(monodromy.centralizer_generators(n), n)
+            size = monodromy.closure_size(monodromy.centralizer_generators(n), n)
             out.append(
                 _gate(
                     "monodromy/centralizer-order",

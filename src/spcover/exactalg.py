@@ -558,14 +558,6 @@ class UniPoly:
         ]
         return cls(var, coeffs)
 
-    def to_multipoly(self) -> MultiPoly:
-        v = MultiPoly.var(self.var)
-        total = MultiPoly.zero()
-        for e, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                total = total + c * v**e
-        return total
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -833,18 +825,22 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 def poly_from_json(data: Mapping) -> MultiPoly:
     try:
-        variables = list(data["vars"])
+        variables = data["vars"]
         raw_terms = list(data["terms"])
     except (KeyError, TypeError) as exc:
         raise ExactAlgError("polynomial JSON needs 'vars' and 'terms'") from exc
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ExactAlgError("polynomial JSON 'vars' must be a list of names")
     width = len(variables)
     terms: dict[tuple[int, ...], Fraction] = {}
     for entry in raw_terms:
-        if len(entry) != width + 2:
+        if not isinstance(entry, list) or len(entry) != width + 2:
             raise ExactAlgError("polynomial JSON term has wrong arity")
         num, den, *exps = entry
-        if not all(isinstance(x, int) for x in entry):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in entry):
             raise ExactAlgError("polynomial JSON terms must be integers")
+        if den == 0:
+            raise ExactAlgError("polynomial JSON term has a zero denominator")
         coeff = Fraction(num, den)
         key = tuple(exps)
         terms[key] = terms.get(key, Fraction(0)) + coeff

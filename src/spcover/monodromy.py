@@ -28,6 +28,7 @@ __all__ = [
     "centralizer_generators",
     "centralizer_order",
     "classify_merge",
+    "closure_size",
     "enumerate_all_merges",
     "enumerate_local_monodromies",
     "realizable_labels",
@@ -422,7 +423,8 @@ def centralizer_generators(n: int) -> list[Permutation]:
     return gens
 
 
-def _closure_size(gens: Sequence[Permutation], n: int) -> int:
+def closure_size(gens: Sequence[Permutation], n: int) -> int:
+    """Order of the group the permutations `gens` of 2n sheets generate."""
     seen = {Permutation.identity(2 * n)}
     frontier = list(seen)
     while frontier:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -26,9 +26,8 @@ from .exactalg import (
     ExactAlgError,
     ExactDivisionError,
     MultiPoly,
-    Scalar,
     UniPoly,
-    det_bareiss,
+    det_bareiss,  # unused; bench test_tracer_restores_the_library reads it here
     discriminant,
     div_exact,
     order_at_zero,
@@ -56,7 +55,6 @@ __all__ = [
     "char_poly_hamiltonian",
     "cover_numerics",
     "dims_and_degrees",
-    "even_part",
     "factorize_discriminant",
     "family_from_json",
     "family_to_json",
@@ -87,18 +85,14 @@ class SpectralData:
     """Coefficient tuple of a spectral polynomial, symbolic or concrete.
 
     `Q[2j]` is the coefficient of v^(2n-2j) in P; keys run over 2, 4, ..., 2n.
-    The base genus g only enters global counts, never the algebra.
     """
 
     n: int
     Q: Mapping[int, MultiPoly]
-    g: int = 2
 
     def __post_init__(self):
         if self.n < 1:
             raise ExactAlgError("n must be at least 1")
-        if self.g < 2:
-            raise ExactAlgError("base genus must be at least 2")
         expected = {2 * j for j in range(1, self.n + 1)}
         if set(self.Q) != expected:
             raise ExactAlgError(
@@ -111,9 +105,9 @@ class SpectralData:
         object.__setattr__(self, "Q", coerced)
 
     @classmethod
-    def symbolic(cls, n: int, g: int = 2) -> "SpectralData":
+    def symbolic(cls, n: int) -> "SpectralData":
         """Abstract coefficients Q2, Q4, ... as formal variables."""
-        return cls(n, {2 * j: MultiPoly.var(f"Q{2*j}") for j in range(1, n + 1)}, g)
+        return cls(n, {2 * j: MultiPoly.var(f"Q{2*j}") for j in range(1, n + 1)})
 
 
 def build_P(data: SpectralData) -> UniPoly:
@@ -132,16 +126,6 @@ def build_Pt(data: SpectralData, var: str = "q") -> UniPoly:
     for j in range(1, data.n + 1):
         coeffs[data.n - j] = data.Q[2 * j]
     return UniPoly(var, coeffs)
-
-
-def even_part(p: UniPoly, out_var: str) -> UniPoly:
-    """Rewrite p(v) = h(v^2) as h; errors if any odd-degree coefficient survives."""
-    for k in range(1, p.degree + 1, 2):
-        if not p.coefficient(k).is_zero():
-            raise ExactAlgError(
-                f"odd-degree coefficient at {p.var}^{k} is nonzero"
-            )
-    return UniPoly(out_var, [p.coefficient(2 * k) for k in range(p.degree // 2 + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -204,28 +188,43 @@ def random_hamiltonian(n: int, rng: random.Random, bound: int = 3) -> Hamiltonia
     return HamiltonianMatrix(n, A, B, C)
 
 
-def char_poly_hamiltonian(h: HamiltonianMatrix) -> tuple[UniPoly, SpectralData]:
-    """det(vI - X) for X = [[A, B], [C, -A^T]], by fraction-free elimination.
+def _berkowitz(rows: Sequence[Sequence[MultiPoly]]) -> list[MultiPoly]:
+    """Coefficients of det(vI - M), highest power first (Berkowitz, 1984).
 
-    The result is monic of degree 2n with even powers of v only; the extracted
-    coefficients form the SpectralData the matrix sits over.
+    Division-free, so it works over any commutative ring.  The trailing
+    principal submatrices M[k:, k:] are absorbed one at a time: with corner m,
+    off-corner row R and column C, and the previous submatrix A, the running
+    coefficients are multiplied by the lower-triangular Toeplitz matrix whose
+    first column is 1, -m, -R C, -R A C, -R A^2 C, ...
     """
-    size = 2 * h.n
-    v = MultiPoly.var("v")
-    x = h.full()
-    rows = [
-        [(v - x[i][j]) if i == j else -x[i][j] for j in range(size)]
-        for i in range(size)
-    ]
-    det = det_bareiss(rows)
-    p = UniPoly.from_multipoly(det, "v")
-    if p.degree != size or not p.is_monic():
-        raise ExactAlgError("characteristic polynomial is not monic of degree 2n")
-    even_part(p, "q")  # raises if an odd-degree coefficient survives
-    data = SpectralData(
-        h.n, {2 * j: p.coefficient(size - 2 * j) for j in range(1, h.n + 1)}
-    )
-    return p, data
+    zero = MultiPoly.zero()
+
+    def dot(xs, ys) -> MultiPoly:
+        return sum((x * y for x, y in zip(xs, ys)), zero)
+
+    coeffs = [MultiPoly.one()]
+    for k in reversed(range(len(rows))):
+        inner = [r[k + 1 :] for r in rows[k + 1 :]]
+        row, col = rows[k][k + 1 :], [r[k] for r in rows[k + 1 :]]
+        toeplitz = [MultiPoly.one(), -rows[k][k]]
+        for _ in inner:
+            toeplitz.append(-dot(row, col))
+            col = [dot(r, col) for r in inner]
+        coeffs = [dot(toeplitz[i::-1], coeffs) for i in range(len(coeffs) + 1)]
+    return coeffs
+
+
+def char_poly_hamiltonian(h: HamiltonianMatrix) -> tuple[UniPoly, SpectralData]:
+    """det(vI - X) for X = [[A, B], [C, -A^T]], by Berkowitz's algorithm.
+
+    The result is monic of degree 2n; its odd powers of v are checked to vanish,
+    and its even coefficients form the SpectralData the matrix sits over.
+    """
+    coeffs = _berkowitz(h.full())
+    if not all(c.is_zero() for c in coeffs[1::2]):
+        raise ExactAlgError("characteristic polynomial has an odd-degree term")
+    data = SpectralData(h.n, {2 * j: coeffs[2 * j] for j in range(1, h.n + 1)})
+    return UniPoly("v", coeffs[::-1]), data
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +719,10 @@ def _genericity_checks(family: LocalFamily) -> None:
                 "family degenerate, choose different generic constants"
             )
     if family.label == "ac":
-        # The double root of Pt at the merge must be exactly q = 0: deflating
-        # by q^2 has to leave a unit.
+        # The double root of Pt at the merge must be exactly q = 0: with Q_2n
+        # already zero there, Q_(2n-2) must vanish and the q^2 coefficient not.
         pt = build_Pt(data)
-        frozen = UniPoly(
-            "q", [MultiPoly.const(at_origin(c)) for c in pt.coeffs]
-        )
-        q_sq = UniPoly("q", [0, 0, 1])
-        try:
-            deflated = div_exact(frozen.to_multipoly(), q_sq.to_multipoly())
-        except ExactDivisionError as exc:
-            raise FamilyDegenerateError(
-                "family degenerate, choose different generic constants"
-            ) from exc
-        h = UniPoly.from_multipoly(deflated, "q")
-        if h.coefficient(0).is_zero():
+        if at_origin(pt.coefficient(1)) != 0 or at_origin(pt.coefficient(2)) == 0:
             raise FamilyDegenerateError(
                 "family degenerate, choose different generic constants"
             )
@@ -816,5 +804,11 @@ def family_from_json(data: Mapping) -> LocalFamily:
         raw_q = data["Q"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ExactAlgError("family JSON needs 'label', 'n', 'Q'") from exc
-    q = {int(k): poly_from_json(v) for k, v in raw_q.items()}
+    if not isinstance(raw_q, dict):
+        raise ExactAlgError("family JSON 'Q' must be an object")
+    try:
+        keys = [int(k) for k in raw_q]
+    except ValueError as exc:
+        raise ExactAlgError("family JSON 'Q' keys must be integers") from exc
+    q = {k: poly_from_json(v) for k, v in zip(keys, raw_q.values())}
     return LocalFamily(label=label, n=n, Q=q)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -202,6 +203,51 @@ def test_main_malformed_family_is_exit_two(tmp_path, capsys):
     missing_keys = tmp_path / "keys.json"
     missing_keys.write_text('{"label": "b"}')
     assert cli.main(["--family", str(missing_keys)]) == 2
+    capsys.readouterr()
+    # a valid b-model, Q_2 = x^2 - t, with one field spoiled at a time
+    good_q = {"vars": ["t", "x"], "terms": [[1, 1, 0, 2], [-1, 1, 1, 0]]}
+    spoiled = {
+        "bool-coeff": {"2": {**good_q, "terms": [[True, 1, 0, 2], [-1, 1, 1, 0]]}},
+        "zero-den": {"2": {**good_q, "terms": [[1, 0, 0, 2], [-1, 1, 1, 0]]}},
+        "string-vars": {"2": {**good_q, "vars": "tx"}},
+        "word-key": {"two": good_q},
+        "bare-term": {"2": {**good_q, "terms": [5]}},
+        "q-list": [good_q],
+    }
+    for name, q in spoiled.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"label": "b", "n": 1, "Q": q}))
+        assert cli.main(["--scope", "multiplicity", "--family", str(path)]) == 2, name
+        assert "cannot load family" in capsys.readouterr().err, name
+
+
+#: sha256 of emit_report(run_suite(**kwargs), fmt) for fmt = text, json; any
+#: change to a report's bytes must show up here.
+PINNED_DIGESTS = [
+    (
+        {"seed": 0},
+        "dd9cbbc489b342d6cb272110a0336baaed1cf2ef152c049412e1d73b6b97dbd2",
+        "03e7409fd0942ad43d8600eb0e43acf31eab2b548d92b73a859c87e6044cafdc",
+    ),
+    (
+        {"seed": 1},
+        "488cccf82308867d0df6f1d1db33df9cd9fc03f156f74b7a6327eda71f7a10e7",
+        "56c40988dbf72d1354eb18175c9079d14557c124de96626c3faba7342e499278",
+    ),
+    (
+        {"seed": 0, "min_n": 5, "max_n": 12, "max_g": 12},
+        "9567556db892f13ee61ff66f2f6fe3d635725be42028eb302d497629fe31fd92",
+        "81af4b63f333698d6d1692aa1f5ece0525c256e575ea8e0af5056a6544f0e29e",
+    ),
+]
+
+
+def test_report_digests_pinned():
+    for kwargs, text_digest, json_digest in PINNED_DIGESTS:
+        reports = cli.run_suite(**kwargs)
+        for fmt, digest in (("text", text_digest), ("json", json_digest)):
+            report = cli.emit_report(reports, fmt)
+            assert hashlib.sha256(report.encode()).hexdigest() == digest, (kwargs, fmt)
 
 
 def test_main_degenerate_family_reports_fail(tmp_path, capsys):

@@ -227,7 +227,7 @@ def test_unipoly_round_trip_and_horner():
     p = (x * x + 1) * y + x - 3
     u = UniPoly.from_multipoly(p, "x")
     assert u.degree == 2
-    assert u.to_multipoly() == p
+    assert u.substitute_main(MultiPoly.var(u.var)) == p
     assert u.substitute_main(MultiPoly.const(2)) == p.substitute(
         {"x": MultiPoly.const(2)}
     )

@@ -8,11 +8,11 @@ from spcover.monodromy import (
     CLASS_TABLE,
     LocalMonodromy,
     Permutation,
-    _closure_size,
     census_table,
     centralizer_generators,
     centralizer_order,
     classify_merge,
+    closure_size,
     enumerate_all_merges,
     enumerate_local_monodromies,
     realizable_labels,
@@ -265,7 +265,7 @@ def test_centralizer_order(n):
     sigma = sheet_involution(n)
     for g in gens:
         assert g.commutes_with(sigma)
-    assert _closure_size(gens, n) == centralizer_order(n)
+    assert closure_size(gens, n) == centralizer_order(n)
 
 
 def test_centralizer_order_formula():

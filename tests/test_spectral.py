@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from spcover.exactalg import ExactAlgError, MultiPoly, UniPoly
+from spcover.exactalg import ExactAlgError, MultiPoly, UniPoly, det_bareiss
 from spcover.spectral import (
     EXPECTED_STRATUM_ORDERS,
     MIN_RANK,
@@ -13,12 +13,12 @@ from spcover.spectral import (
     HamiltonianMatrix,
     LocalFamily,
     SpectralData,
+    _berkowitz,
     build_P,
     build_Pt,
     char_poly_hamiltonian,
     cover_numerics,
     dims_and_degrees,
-    even_part,
     factorize_discriminant,
     family_from_json,
     family_to_json,
@@ -45,24 +45,13 @@ def test_build_p_is_pt_of_v_squared():
     p = build_P(data)
     pt = build_Pt(data)
     v = MultiPoly.var("v")
-    assert pt.substitute_main(v * v) == p.to_multipoly()
+    assert pt.substitute_main(v * v) == p.substitute_main(v)
     assert p.degree == 6 and p.is_monic()
-    assert even_part(p, "q").to_multipoly() == pt.to_multipoly().substitute(
-        {"q": MultiPoly.var("q")}
-    )
-
-
-def test_even_part_rejects_odd_coefficients():
-    u = UniPoly("v", [1, 1, 1])
-    with pytest.raises(ExactAlgError, match="odd-degree"):
-        even_part(u, "q")
 
 
 def test_spectral_data_validation():
     with pytest.raises(ExactAlgError, match="keys"):
         SpectralData(2, {2: x})
-    with pytest.raises(ExactAlgError, match="genus"):
-        SpectralData(1, {2: x}, g=1)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +151,38 @@ def test_char_poly_even_seeded():
             for k in range(1, 2 * n, 2):
                 assert p.coefficient(k).is_zero()
             assert build_P(data) == p
+
+
+def test_berkowitz_hand_values():
+    def const(rows):
+        return [[MultiPoly.const(e) for e in r] for r in rows]
+
+    assert _berkowitz([]) == [1]
+    assert _berkowitz(const([[5]])) == [1, -5]
+    assert _berkowitz(const([[1, 2], [3, 4]])) == [1, -5, -2]
+    # zero corner; trace 4, principal 2-minors summing to 1, determinant -5
+    m = const([[0, 1, 2], [0, 3, 1], [1, 0, 1]])
+    assert _berkowitz(m) == [1, -4, 1, 5]
+
+
+def _char_poly_by_bareiss(h):
+    # Independent reference: det(vI - X) by fraction-free elimination over Q[v].
+    v = MultiPoly.var("v")
+    x = h.full()
+    size = 2 * h.n
+    rows = [[(v if i == j else 0) - x[i][j] for j in range(size)] for i in range(size)]
+    return UniPoly.from_multipoly(det_bareiss(rows), "v")
+
+
+def test_char_poly_matches_bareiss_reference():
+    rng = random.Random(2)
+    samples = [random_hamiltonian(n, rng) for n in range(1, 6) for _ in range(3)]
+    a, b, c, d = (MultiPoly.var(s) for s in "abcd")
+    samples.append(
+        HamiltonianMatrix(2, [[a, b], [c, d]], [[a, c], [c, b]], [[d, 1], [1, a]])
+    )
+    for h in samples:
+        assert char_poly_hamiltonian(h)[0] == _char_poly_by_bareiss(h)
 
 
 def test_hamiltonian_requires_symmetric_blocks():
@@ -327,6 +348,16 @@ def test_genericity_rejects_wrong_center():
     fam = LocalFamily("b", 1, {2: x * x - t + 1})
     with pytest.raises(FamilyDegenerateError):
         stratum_multiplicity(fam)
+
+
+def test_genericity_ac_needs_an_exact_double_root_at_zero():
+    # Pt at the origin must be q^2 times a unit: Q_(2n-2)(0) = 0 and q^2 survives
+    for fam in (
+        LocalFamily("ac", 2, {2: x - t + 1, 4: x}),  # only a simple root
+        LocalFamily("ac", 3, {2: x, 4: x - t, 6: x}),  # a triple root
+    ):
+        with pytest.raises(FamilyDegenerateError):
+            stratum_multiplicity(fam)
 
 
 def test_genericity_rejects_nonconstant_leading_coefficient():
