@@ -1,7 +1,8 @@
 """Exact verification suite for rank-2n symplectic spectral covers.
 
-Everything is computed over Q with `fractions.Fraction`; there is no floating
-point anywhere unless a caller introduces it.  The subpackages layer as:
+Everything is computed exactly over Q: a coefficient is an `int` when it is
+integral and a `fractions.Fraction` otherwise, and a `float` or `bool` is
+refused wherever a scalar enters.  The subpackages layer as:
 `exactalg` (sparse polynomials, resultants, rational functions), `spectral`
 (spectral polynomials, the discriminant factorization, degeneration
 fixtures), `monodromy` (sheet permutations and collision combinatorics),

@@ -1,6 +1,7 @@
 """Exact sparse polynomial and rational-function arithmetic.
 
-Everything here is exact: coefficients are `fractions.Fraction`, monomials are
+Everything here is exact: a coefficient is an `int` when it is integral and a
+`fractions.Fraction` otherwise (never a `float` or `bool`), monomials are
 exponent vectors over a canonically ordered variable tuple, and the only
 polynomial "division" offered is exact division (remainder must vanish).
 Determinants of polynomial matrices are computed by Bareiss fraction-free
@@ -70,16 +71,28 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_coeff(value: Scalar) -> Scalar:
+    """An exact scalar as a coefficient: `int` when integral, else `Fraction`."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise ExactAlgError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient of two coefficients; `int` when it is integral."""
+    if isinstance(a, int) and isinstance(b, int) and not a % b:
+        return a // b
+    return _as_coeff(Fraction(a) / b)
+
+
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    A coefficient is stored as an `int` when it is integral and as a
+    `Fraction` otherwise; sums and products of stored coefficients may leave an
+    integral `Fraction`, which compares and prints like the `int`.
 
     Variables are kept in a fixed deterministic order (natural sort of names),
     exponent vectors align with that order, and zero coefficients are never
@@ -97,17 +110,17 @@ class MultiPoly:
         if len(order) != len(given):
             raise ExactAlgError("duplicate variable names")
         perm = [given.index(v) for v in order]
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         width = len(order)
         for exps, coeff in terms.items():
             if len(exps) != width:
                 raise ExactAlgError("exponent vector length does not match variable count")
             if any(e < 0 for e in exps):
                 raise ExactAlgError("negative exponent")
-            c = _as_fraction(coeff)
+            c = _as_coeff(coeff)
             if c:
                 key = tuple(exps[i] for i in perm)
-                clean[key] = clean.get(key, Fraction(0)) + c
+                clean[key] = clean.get(key, 0) + c
                 if not clean[key]:
                     del clean[key]
         object.__setattr__(self, "vars", tuple(order))
@@ -117,7 +130,7 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "MultiPoly":
+    def _raw(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Scalar]) -> "MultiPoly":
         # Internal fast path: inputs must already be canonical.
         self = object.__new__(cls)
         object.__setattr__(self, "vars", variables)
@@ -134,12 +147,12 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "MultiPoly":
-        c = _as_fraction(value)
+        c = _as_coeff(value)
         return cls._raw((), {(): c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls._raw((name,), {(1,): Fraction(1)})
+        return cls._raw((name,), {(1,): 1})
 
     # -- structure ---------------------------------------------------------
 
@@ -149,9 +162,9 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ExactAlgError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -169,17 +182,17 @@ class MultiPoly:
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading_term(self) -> tuple[tuple[int, ...], Scalar]:
         """Graded-lex leading (exponent, coefficient); errors on zero."""
         if not self.terms:
             raise ExactAlgError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         return self.leading_term()[1]
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def embed(self, variables: Sequence[str]) -> "MultiPoly":
@@ -192,7 +205,7 @@ class MultiPoly:
             raise ExactAlgError(f"embedding drops variables {missing}")
         pos = [order.index(v) for v in self.vars]
         width = len(order)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in self.terms.items():
             key = [0] * width
             for p, e in zip(pos, exps):
@@ -215,7 +228,7 @@ class MultiPoly:
         a, b = self._aligned(other)
         terms = dict(a.terms)
         for exps, coeff in b.terms.items():
-            new = terms.get(exps, _ZERO_FRACTION) + coeff
+            new = terms.get(exps, 0) + coeff
             if new:
                 terms[exps] = new
             elif exps in terms:
@@ -241,7 +254,7 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _as_coeff(other)
             if not c:
                 return MultiPoly.zero()
             return MultiPoly._raw(self.vars, {e: v * c for e, v in self.terms.items()})
@@ -261,12 +274,12 @@ class MultiPoly:
             )
         if len(a.terms) == 1:
             return b * a
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         b_items = list(b.terms.items())
         for ae, ac in a.terms.items():
             for be, bc in b_items:
                 key = tuple(x + y for x, y in zip(ae, be))
-                new = out.get(key, _ZERO_FRACTION) + ac * bc
+                new = out.get(key, 0) + ac * bc
                 if new:
                     out[key] = new
                 elif key in out:
@@ -276,12 +289,12 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (Fraction(1) / c)
-        return NotImplemented
+        if isinstance(other, (MultiPoly, RatFunc)):
+            return NotImplemented
+        c = _as_coeff(other)
+        if not c:
+            raise ZeroDivisionError("division by zero scalar")
+        return self * _div(1, c)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -313,12 +326,12 @@ class MultiPoly:
         if name not in self.vars:
             return MultiPoly.zero()
         i = self.vars.index(name)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
             if e:
                 key = exps[:i] + (e - 1,) + exps[i + 1 :]
-                terms[key] = terms.get(key, _ZERO_FRACTION) + coeff * e
+                terms[key] = terms.get(key, 0) + coeff * e
                 if not terms[key]:
                     del terms[key]
         return MultiPoly._raw(self.vars, terms)
@@ -353,13 +366,13 @@ class MultiPoly:
             result = result + factor
         return result
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
+        total = 0
         values = []
         for v in self.vars:
             if v not in point:
                 raise ExactAlgError(f"no value supplied for variable {v!r}")
-            values.append(_as_fraction(point[v]))
+            values.append(_as_coeff(point[v]))
         for exps, coeff in self.terms.items():
             term = coeff
             for val, e in zip(values, exps):
@@ -396,9 +409,6 @@ class MultiPoly:
         return out
 
 
-_ZERO_FRACTION = Fraction(0)
-
-
 def _coerce_poly(value) -> MultiPoly:
     if isinstance(value, MultiPoly):
         return value
@@ -422,7 +432,7 @@ def div_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     lt_e, lt_c = b.leading_term()
     d_items = [(e, c) for e, c in b.terms.items() if e != lt_e]
     rem = dict(a.terms)
-    quot: dict[tuple[int, ...], Fraction] = {}
+    quot: dict[tuple[int, ...], Scalar] = {}
     heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
     heapq.heapify(heap)
     while heap:
@@ -436,7 +446,7 @@ def div_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
             raise ExactDivisionError(
                 "exact division failed", MultiPoly._raw(a.vars, rem)
             )
-        qc = coeff / lt_c
+        qc = _div(coeff, lt_c)
         quot[diff] = qc
         for de, dc in d_items:
             te = tuple(x + y for x, y in zip(diff, de))
@@ -546,7 +556,7 @@ class UniPoly:
             return cls(var, [p])
         i = p.vars.index(var)
         rest = p.vars[:i] + p.vars[i + 1 :]
-        buckets: dict[int, dict[tuple[int, ...], Fraction]] = {}
+        buckets: dict[int, dict[tuple[int, ...], Scalar]] = {}
         for exps, coeff in p.terms.items():
             e = exps[i]
             key = exps[:i] + exps[i + 1 :]
@@ -710,7 +720,7 @@ class RatFunc:
             raise ExactAlgError("zero denominator")
         lead = den.leading_coefficient()
         if lead != 1:
-            inv = Fraction(1) / lead
+            inv = _div(1, lead)
             num = num * inv
             den = den * inv
         object.__setattr__(self, "num", num)
@@ -785,7 +795,7 @@ class RatFunc:
         bottom = self.den.evaluate(point)
         if not bottom:
             raise ExactAlgError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(point) / bottom
+        return Fraction(self.num.evaluate(point)) / bottom
 
     def __str__(self) -> str:
         if self.den == 1:
@@ -832,7 +842,7 @@ def poly_from_json(data: Mapping) -> MultiPoly:
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ExactAlgError("polynomial JSON 'vars' must be a list of names")
     width = len(variables)
-    terms: dict[tuple[int, ...], Fraction] = {}
+    terms: dict[tuple[int, ...], Scalar] = {}
     for entry in raw_terms:
         if not isinstance(entry, list) or len(entry) != width + 2:
             raise ExactAlgError("polynomial JSON term has wrong arity")
@@ -841,7 +851,6 @@ def poly_from_json(data: Mapping) -> MultiPoly:
             raise ExactAlgError("polynomial JSON terms must be integers")
         if den == 0:
             raise ExactAlgError("polynomial JSON term has a zero denominator")
-        coeff = Fraction(num, den)
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + _div(num, den)
     return MultiPoly(tuple(variables), terms)

@@ -366,10 +366,19 @@ def decomposition_numeric(n: int, g: int) -> bool:
     )
 
 
+def _kappa_numeric(n: int) -> Fraction:
+    """kappa at n from the weighted branch-count sum form of `kappa_forms`."""
+    N = 2 * n * (2 * n - 1)
+    simple = Fraction(4 * n * (1 + 2 * N), 1 + N)
+    double = Fraction(8 * n * (n - 1) * (2 + 2 * N), 2 + N)
+    return (simple + double) / (12 * N * N)
+
+
 def coarse_identity_numeric(n: int, g: int) -> bool:
-    """The coarse identity at one (n, g), in bare Fractions."""
+    """The coarse identity at one (n, g), in bare Fractions; kappa comes from
+    its sum form here, not from the symbolic `kappa_forms`."""
     N = Fraction(2 * n * (2 * n - 1))
-    kappa = kappa_value(n)
+    kappa = _kappa_numeric(n)
     c1 = 1 / (12 * N * (N + 1))
     c2 = (2 * N + 3) / (12 * N * (N + 1) * (N + 2))
     c3 = 1 / (3 * N * (N + 2))

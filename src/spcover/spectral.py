@@ -19,13 +19,13 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .exactalg import (
     ExactAlgError,
     ExactDivisionError,
     MultiPoly,
+    Scalar,
     UniPoly,
     det_bareiss,  # unused; bench test_tracer_restores_the_library reads it here
     discriminant,
@@ -239,7 +239,7 @@ class FactorizationResult:
     n: int
     w: MultiPoly
     delta: MultiPoly
-    constant: Fraction
+    constant: Scalar
     w_reduced: MultiPoly
     sign_is_minus4_pow_n: bool
 
@@ -292,7 +292,7 @@ def _factorize(data: SpectralData) -> FactorizationResult:
     if not quotient.is_constant():
         raise FactorizationError("factorization violated", quotient)
     constant = quotient.constant_value()
-    if abs(constant) != Fraction(4) ** n:
+    if abs(constant) != 4**n:
         raise FactorizationError("factorization violated", quotient)
     return FactorizationResult(
         n=n,
@@ -300,7 +300,7 @@ def _factorize(data: SpectralData) -> FactorizationResult:
         delta=delta,
         constant=constant,
         w_reduced=q2n * delta * constant,
-        sign_is_minus4_pow_n=(constant == Fraction(-4) ** n),
+        sign_is_minus4_pow_n=(constant == (-4) ** n),
     )
 
 
@@ -705,7 +705,7 @@ def _genericity_checks(family: LocalFamily) -> None:
     data = family.spectral_data()
     q2n = data.Q[2 * family.n]
 
-    def at_origin(p: MultiPoly) -> Fraction:
+    def at_origin(p: MultiPoly) -> Scalar:
         return p.evaluate({v: origin.get(v, 0) for v in p.vars})
 
     if family.label in ("bb", "cc", "mm"):
@@ -790,20 +790,28 @@ def shipped_fixture_report(
 
 
 def family_to_json(family: LocalFamily) -> dict:
-    return {
+    """{"label", "n", "Q": {"2j": poly}} plus, when the family carries them,
+    "factors": [f, g], each the list of its `q`-coefficients lowest first."""
+    data = {
         "label": family.label,
         "n": family.n,
         "Q": {str(k): poly_to_json(v) for k, v in sorted(family.Q.items())},
     }
+    if family.factors is not None:
+        data["factors"] = [[poly_to_json(c) for c in u.coeffs] for u in family.factors]
+    return data
 
 
 def family_from_json(data: Mapping) -> LocalFamily:
     try:
         label = data["label"]
-        n = int(data["n"])
+        n = data["n"]
         raw_q = data["Q"]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_factors = data.get("factors")
+    except (KeyError, TypeError) as exc:
         raise ExactAlgError("family JSON needs 'label', 'n', 'Q'") from exc
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ExactAlgError("family JSON 'n' must be an integer")
     if not isinstance(raw_q, dict):
         raise ExactAlgError("family JSON 'Q' must be an object")
     try:
@@ -811,4 +819,11 @@ def family_from_json(data: Mapping) -> LocalFamily:
     except ValueError as exc:
         raise ExactAlgError("family JSON 'Q' keys must be integers") from exc
     q = {k: poly_from_json(v) for k, v in zip(keys, raw_q.values())}
-    return LocalFamily(label=label, n=n, Q=q)
+    factors = None
+    if raw_factors is not None:
+        if not isinstance(raw_factors, list) or len(raw_factors) != 2 or not all(
+            isinstance(u, list) for u in raw_factors
+        ):
+            raise ExactAlgError("family JSON 'factors' must be two coefficient lists")
+        factors = tuple(UniPoly("q", [poly_from_json(c) for c in u]) for u in raw_factors)
+    return LocalFamily(label=label, n=n, Q=q, factors=factors)

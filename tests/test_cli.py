@@ -182,9 +182,14 @@ def test_main_out_file_matches_stdout(tmp_path, capsys):
 
 
 def test_main_family_pass(tmp_path, capsys):
-    path = write_family(tmp_path / "bb.json", spectral.local_family("bb"))
-    assert cli.main(["--scope", "multiplicity", "--family", path]) == 0
-    assert "multiplicity/user-family-0" in capsys.readouterr().out
+    # every shipped family passes from its own JSON
+    argv = ["--scope", "multiplicity"]
+    for label in spectral.STRATUM_LABELS:
+        argv += ["--family", write_family(tmp_path / f"{label}.json", spectral.local_family(label))]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    for idx in range(len(spectral.STRATUM_LABELS)):
+        assert f"multiplicity/user-family-{idx}" in out
 
 
 def test_main_family_failure_gates_exit(tmp_path, capsys):
@@ -214,9 +219,14 @@ def test_main_malformed_family_is_exit_two(tmp_path, capsys):
         "bare-term": {"2": {**good_q, "terms": [5]}},
         "q-list": [good_q],
     }
-    for name, q in spoiled.items():
+    documents = {name: {"label": "b", "n": 1, "Q": q} for name, q in spoiled.items()}
+    # an "n" that int() would accept, each on a family that loads with the int
+    documents["bool-n"] = {"label": "b", "n": True, "Q": {"2": good_q}}
+    bb = spectral.family_to_json(spectral.local_family("bb"))
+    documents["string-n"] = {**bb, "n": "2"}
+    for name, doc in documents.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps({"label": "b", "n": 1, "Q": q}))
+        path.write_text(json.dumps(doc))
         assert cli.main(["--scope", "multiplicity", "--family", str(path)]) == 2, name
         assert "cannot load family" in capsys.readouterr().err, name
 
@@ -251,7 +261,11 @@ def test_report_digests_pinned():
 
 
 def test_main_degenerate_family_reports_fail(tmp_path, capsys):
-    # structurally valid JSON whose family flunks genericity: runs, fails, exit 1
-    path = write_family(tmp_path / "mm.json", spectral.local_family("mm"))
-    assert cli.main(["--scope", "multiplicity", "--family", path]) == 1
+    # structurally valid JSON whose family flunks genericity: runs, fails, exit 1;
+    # an mm family without its "factors" key has an identically zero detector
+    data = spectral.family_to_json(spectral.local_family("mm"))
+    del data["factors"]
+    path = tmp_path / "mm.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["--scope", "multiplicity", "--family", str(path)]) == 1
     assert "family degenerate" in capsys.readouterr().out

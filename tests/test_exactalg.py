@@ -96,6 +96,82 @@ def test_scalar_coercion_and_division():
     assert x + Fraction(1, 3) == x + MultiPoly.const(Fraction(1, 3))
 
 
+def test_integral_coefficients_are_stored_as_int():
+    assert type(MultiPoly.const(Fraction(6, 3)).constant_value()) is int
+    assert type(x.leading_coefficient()) is int
+    assert type((x / 2).leading_coefficient()) is Fraction
+
+
+def assert_exact(value):
+    """Every stored coefficient is exactly an int or a Fraction."""
+    if isinstance(value, RatFunc):
+        assert_exact(value.num)
+        assert_exact(value.den)
+        return
+    for c in value.terms.values():
+        assert type(c) in (int, Fraction), (type(c), value)
+
+
+def rand_exact_scalar(rng):
+    if rng.random() < 0.5:
+        return rng.choice((-1, 1)) * rng.randint(1, 6)
+    return Fraction(rng.randint(-6, 6) or 1, rng.randint(2, 6))
+
+
+def rand_exact_poly(rng, terms=3, deg=2):
+    p = MultiPoly.zero()
+    for _ in range(terms):
+        p = p + rand_exact_scalar(rng) * x ** rng.randint(0, deg) * y ** rng.randint(0, deg)
+    return p
+
+
+def test_no_float_or_bool_coefficient_seeded():
+    rng = random.Random(13)
+    for _ in range(40):
+        p, q = rand_exact_poly(rng), rand_exact_poly(rng)
+        if q.is_zero():
+            continue
+        c = rand_exact_scalar(rng)
+        polys = [
+            p + q,
+            p - q,
+            p * q,
+            p * c,
+            c * p,
+            p / c,
+            p ** rng.randint(0, 3),
+            div_exact(p * q, q),
+            p.substitute({"x": q, "y": c}),
+            p.derivative("x"),
+            poly_from_json(poly_to_json(p * q)),
+        ]
+        for r in polys:
+            assert_exact(r)
+        f, g = RatFunc(p, q), RatFunc(q, c * x + 1)
+        ratfuncs = [f, g, f + g, f - g, f * g, RatFunc(p, c), RatFunc(c, q)]
+        if not p.is_zero():
+            ratfuncs.append(g / f)
+        for r in ratfuncs:
+            assert_exact(r)
+        point = {"x": rand_exact_scalar(rng), "y": rand_exact_scalar(rng)}
+        for r in polys:
+            assert type(r.evaluate(point)) in (int, Fraction)
+        for r in ratfuncs:
+            if r.den.evaluate(point):
+                assert type(r.evaluate(point)) is Fraction
+
+
+def test_float_and_bool_are_rejected():
+    with pytest.raises(ExactAlgError):
+        MultiPoly.const(True)
+    with pytest.raises(ExactAlgError):
+        MultiPoly.var("x") * True
+    with pytest.raises(ExactAlgError):
+        MultiPoly.var("x") / 2.0
+    with pytest.raises(ExactAlgError):
+        MultiPoly.var("x").evaluate({"x": 0.5})
+
+
 # ---------------------------------------------------------------------------
 # exact division
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from spcover import picard
 from spcover.exactalg import ExactAlgError, MultiPoly, RatFunc
 from spcover.picard import (
     DELTA,
@@ -88,7 +89,7 @@ def test_kappa_forms_agree_symbolically():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kappa_matches_fraction_oracle(n):
-    assert kappa_value(n) == kappa_oracle(n)
+    assert kappa_value(n) == kappa_oracle(n) == picard._kappa_numeric(n)
 
 
 def test_kappa_radical_resolution():
@@ -183,6 +184,14 @@ def test_coarse_identity_symbolic():
 @pytest.mark.parametrize("g", range(2, 13))
 def test_coarse_identity_numeric_grid(n, g):
     assert coarse_identity_numeric(n, g)
+
+
+def test_coarse_identity_numeric_needs_no_symbolic_kappa(monkeypatch):
+    def refuse():
+        raise AssertionError("the numeric path must not build kappa_forms()")
+
+    monkeypatch.setattr(picard, "kappa_forms", refuse)
+    assert all(coarse_identity_numeric(n, g) for n in range(1, 13) for g in range(2, 13))
 
 
 def test_coarse_identity_rank_two_balance():

@@ -326,9 +326,10 @@ def test_mm_square_split_verified():
 
 
 def test_mm_without_factors_is_degenerate():
-    # dropping the factorization (as a JSON round-trip does) leaves only
-    # disc_x(Delta), which vanishes identically for any mm model
-    fam = family_from_json(family_to_json(local_family("mm")))
+    # dropping the factorization leaves only disc_x(Delta), which vanishes
+    # identically for any mm model
+    shipped = local_family("mm")
+    fam = LocalFamily(shipped.label, shipped.n, shipped.Q)
     assert fam.factors is None
     with pytest.raises(FamilyDegenerateError, match="family degenerate"):
         stratum_multiplicity(fam)
@@ -373,6 +374,8 @@ def test_family_json_round_trip():
         back = family_from_json(family_to_json(fam))
         assert back.label == fam.label and back.n == fam.n
         assert dict(back.Q) == dict(fam.Q)
+        assert back.factors == fam.factors
+        assert stratum_multiplicity(back).order == EXPECTED_STRATUM_ORDERS[label]
 
 
 def test_family_validation():
@@ -382,3 +385,22 @@ def test_family_validation():
         LocalFamily("mm", 2, {2: x, 4: x})
     with pytest.raises(ExactAlgError, match="family JSON"):
         family_from_json({"label": "b"})
+    bb = family_to_json(local_family("bb"))
+    for n in (True, "2", 2.0):
+        with pytest.raises(ExactAlgError, match="'n' must be an integer"):
+            family_from_json({**bb, "n": n})
+    mm = family_to_json(local_family("mm"))
+    f, g = mm["factors"]
+    for factors in ([f], f, [f, "g"]):
+        with pytest.raises(ExactAlgError, match="'factors'"):
+            family_from_json({**mm, "factors": factors})
+    q_in_coeff = {"vars": ["q"], "terms": [[1, 1, 1]]}
+    with pytest.raises(ExactAlgError, match="mentions 'q'"):
+        family_from_json({**mm, "factors": [[q_in_coeff], g]})
+
+
+def test_mm_factors_must_multiply_to_pt():
+    mm = family_to_json(local_family("mm"))
+    f, _ = mm["factors"]
+    with pytest.raises(FamilyDegenerateError):
+        stratum_multiplicity(family_from_json({**mm, "factors": [f, f]}))
